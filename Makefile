@@ -7,11 +7,7 @@ RACE_PKGS := ./internal/mpi ./internal/task ./internal/tampi ./internal/membuf \
 	./internal/simnet ./internal/amr/app ./internal/driver ./internal/hydro \
 	./internal/harness ./internal/wire
 
-GOLDEN_DIR := internal/analysis/testdata/golden
-PERF_GOLDEN_DIR := $(GOLDEN_DIR)/perf
-GRAPH_PKGS := ./internal/amr/app ./internal/hydro
-
-.PHONY: test vet fmt-check lint graph golden perf sanitize chaos race transport check bench
+.PHONY: test vet fmt-check lint golden sanitize chaos race transport check bench
 
 test:
 	$(GO) build ./...
@@ -28,36 +24,19 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# amrlint enforces the repo's ownership, collective, task-graph,
-# concurrency and determinism invariants (leaselint, reqlint, deplint,
-# collectivelint, graphlint, perflint, conclint, determlint);
-# amrgraph -check diffs the extracted
-# driver DAGs and amrperf -check the static performance profiles against
-# the committed goldens. All exit non-zero on findings or drift.
+# amrlint enforces the repo's ownership, collective, concurrency and
+# determinism invariants (leaselint, reqlint, deplint, collectivelint,
+# conclint, determlint) and, with -escape, audits every //amr:hot
+# allocation pin against the compiler's escape analysis. It exits
+# non-zero on findings or a broken pin. The task-graph goldens are
+# diffed by the recording tests that `make test` runs.
 lint:
-	$(GO) run ./cmd/amrlint ./...
-	$(GO) run ./cmd/amrgraph -check $(GOLDEN_DIR) $(GRAPH_PKGS)
-	$(GO) run ./cmd/amrperf -check $(PERF_GOLDEN_DIR) $(GRAPH_PKGS)
+	$(GO) run ./cmd/amrlint -escape ./...
 
-# Render the driver task graphs as DOT under build/graphs (pipe through
-# `dot -Tsvg` to visualise).
-graph:
-	$(GO) run ./cmd/amrgraph -format dot -o build/graphs $(GRAPH_PKGS)
-
-# Refresh the committed golden text graphs and performance profiles
-# after an intentional change to a driver pipeline or the cost presets.
+# Refresh the recorded task-graph goldens (each app's
+# testdata/recorded/*.txt) after an intentional change to a driver.
 golden:
-	$(GO) run ./cmd/amrgraph -update $(GOLDEN_DIR) $(GRAPH_PKGS)
-	$(GO) run ./cmd/amrperf -update $(PERF_GOLDEN_DIR) $(GRAPH_PKGS)
-
-# Static performance model: diff the per-driver profiles (critical path,
-# concurrency width, comm volume) against the committed goldens, audit
-# the //amr:hot allocation pins against the compiler's escape analysis,
-# and emit the machine-readable JSON profiles under build/perf (the CI
-# artifact).
-perf:
-	$(GO) run ./cmd/amrperf -escape -check $(PERF_GOLDEN_DIR) ./...
-	$(GO) run ./cmd/amrperf -format json -o build/perf $(GRAPH_PKGS)
+	$(GO) test ./internal/amr/app ./internal/hydro -run Recorded -update
 
 # amrsan: the seeded-violation corpus plus full driver runs with the
 # runtime sanitizer forced on (AMRSAN=1), which must stay clean.
@@ -84,7 +63,7 @@ transport:
 	$(GO) test -race -run 'Conformance|Fuzz|ReadFrame|Equivalence' ./internal/wire ./internal/mpi
 	$(GO) test -race -run 'CrossProcess|MultiProc' ./internal/harness
 
-check: vet fmt-check lint test perf sanitize chaos race transport
+check: vet fmt-check lint test sanitize chaos race transport
 
 # Performance trajectory: the allocation benchmarks of the pooled message
 # path plus end-to-end driver runs of both applications, recorded as one

@@ -1,13 +1,14 @@
 // Command amrlint runs the repo-specific static-analysis suite: leaselint,
-// reqlint, deplint, collectivelint, graphlint, perflint, conclint and
-// determlint (see internal/analysis). Patterns are directories or dir/...
-// trees; the default ./... covers the module.
+// reqlint, deplint, collectivelint, conclint and determlint (see
+// internal/analysis). Patterns are directories or dir/... trees; the
+// default ./... covers the module.
 //
 // -json switches the findings to one JSON record per line (file, line,
 // id, analyzer, severity, message); the id is the stable analyzer/rule
-// slug shared with perflint, so suppressions and dashboards survive
-// message rewording. -graph emits the extracted driver graphs instead of
-// findings, as DOT by default or as JSON objects with -json.
+// slug, so suppressions and dashboards survive message rewording.
+// -escape additionally audits every //amr:hot allocation pin against the
+// compiler's escape analysis (`go build -gcflags=-m` over the patterns):
+// an over-budget function fails, an under-budget one warns.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load error.
 package main
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"go/token"
 	"os"
+	"os/exec"
 
 	"miniamr/internal/analysis"
 )
@@ -36,10 +38,10 @@ func main() {
 	tests := flag.Bool("tests", false, "also analyze _test.go files")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON records, one per line")
-	graph := flag.Bool("graph", false, "emit the extracted driver graphs (DOT, or JSON with -json)")
+	escape := flag.Bool("escape", false, "also audit //amr:hot allocation budgets against the compiler's escape analysis")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: amrlint [-tests] [-json] [-graph] [packages]\n\npackages are directories or dir/... trees (default ./...)\n\n")
+			"usage: amrlint [-tests] [-json] [-escape] [packages]\n\npackages are directories or dir/... trees (default ./...)\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -63,24 +65,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *graph {
-		graphs, findings := analysis.ExtractGraphs(pkgs)
-		for _, f := range findings {
-			fmt.Fprintln(os.Stderr, f)
-		}
-		for _, g := range graphs {
-			if *jsonOut {
-				fmt.Print(g.JSON())
-			} else {
-				fmt.Print(g.DOT())
-			}
-		}
-		if len(findings) > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
 	findings := analysis.Run(pkgs, analysis.All())
 	enc := json.NewEncoder(os.Stdout)
 	for _, f := range findings {
@@ -101,8 +85,40 @@ func main() {
 		}
 		fmt.Println(f)
 	}
+	status := 0
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "amrlint: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		status = 1
 	}
+	if *escape && !escapeAudit(pkgs, patterns) {
+		status = 1
+	}
+	os.Exit(status)
+}
+
+// escapeAudit checks every //amr:hot budget in the loaded packages
+// against the compiler's proved escape sites. It reports true when all
+// pins hold; under-budget warnings print but do not fail.
+func escapeAudit(pkgs []*analysis.Package, patterns []string) bool {
+	hots, malformed := analysis.CollectHotFuncs(pkgs)
+	for _, f := range malformed {
+		fmt.Fprintln(os.Stderr, f)
+	}
+	ok := len(malformed) == 0
+	if len(hots) == 0 {
+		return ok
+	}
+	args := append([]string{"build", "-gcflags=-m"}, patterns...)
+	out, err := exec.Command("go", args...).CombinedOutput()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "amrlint: go build -gcflags=-m: %v\n%s", err, out)
+		return false
+	}
+	for _, f := range analysis.CheckEscapes(hots, analysis.ParseEscapes(string(out))) {
+		fmt.Fprintln(os.Stderr, f)
+		if f.Severity == "error" {
+			ok = false
+		}
+	}
+	return ok
 }

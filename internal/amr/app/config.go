@@ -137,9 +137,9 @@ type Config struct {
 	// own), hence excluded from the wire encoding.
 	Sanitizer *sanitize.Sanitizer `json:"-"`
 	// TaskObserver, when non-nil, yields a per-rank task lifecycle
-	// observer for the data-flow variant (teed with the sanitizer's).
-	// Used to measure dynamic concurrency, e.g. with task.NewWidthMeter.
-	// Runtime-only, like Sanitizer.
+	// observer for the data-flow variant (teed with the sanitizer's),
+	// e.g. driver.GraphRecorder.TaskObserver, which records the task
+	// graph and its ready-set width. Runtime-only, like Sanitizer.
 	TaskObserver func(rank int) task.Observer `json:"-"`
 }
 

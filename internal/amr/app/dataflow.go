@@ -19,11 +19,8 @@ import (
 // sections.
 type (
 	// blockKey is a block's variable-group range. Block state persists
-	// across timesteps, and graphlint matches it as one class so the
-	// pack -> local-copy -> boundary -> unpack -> stencil -> checksum
-	// chain is visible at the phase level.
-	//
-	//amr:region state
+	// across timesteps, chaining pack -> local-copy -> boundary ->
+	// unpack -> stencil -> checksum.
 	blockKey struct {
 		c mesh.Coord
 		g int // group index
@@ -32,8 +29,6 @@ type (
 	// direction+1, or 0 when buffers are shared across directions
 	// (reproducing the false dependencies that --separate_buffers removes).
 	// Sections are per-stage: produced, consumed once, recycled.
-	//
-	//amr:region stage match=dirKey,send,idx
 	sectKey struct {
 		dirKey int
 		peer   int
@@ -44,16 +39,12 @@ type (
 	// slotKey is a per-block checksum accumulator slot; parity alternates
 	// between consecutive checksum stages for the delayed validation
 	// (class matching: the delayed flush reads the other parity).
-	//
-	//amr:region stage
 	slotKey struct {
 		c      mesh.Coord
 		parity int
 	}
 	// xferKey orders the pack->send and recv->unpack pairs of the
 	// refinement block exchange, keyed by the move's data tag.
-	//
-	//amr:region stage match=recv
 	xferKey struct {
 		tag  int
 		recv bool
@@ -128,14 +119,6 @@ func (d *dataFlowDriver) groupIndex(g0 int) int { return g0 / d.s.cfg.CommVars }
 // receive task per message binding the request, pack tasks per face, send
 // tasks per message with multidependencies on the packed sections, local
 // copy tasks, and unpack tasks fed by the receive's buffer sections.
-//
-//amr:graph driver=dataflow phase=communicate seq=1
-//amr:par label=recv axis=msgs
-//amr:par label=pack axis=segs
-//amr:par label=send axis=msgs
-//amr:par label=local-copy axis=locals
-//amr:par label=boundary axis=bfaces
-//amr:par label=unpack axis=msgs
 func (d *dataFlowDriver) communicate(g0, g1 int) error {
 	s := d.s
 	gv := g1 - g0
@@ -300,9 +283,6 @@ func (d *dataFlowDriver) communicate(g0, g1 int) error {
 
 // stencil spawns one task per block, depending in-out on the block's
 // variable group so it naturally follows the ghost fills.
-//
-//amr:graph driver=dataflow phase=stencil seq=2
-//amr:par label=stencil axis=blocks
 func (d *dataFlowDriver) stencil(g0, g1 int) error {
 	s := d.s
 	gi := d.groupIndex(g0)
@@ -321,9 +301,6 @@ func (d *dataFlowDriver) stencil(g0, g1 int) error {
 // checksum spawns local-reduction tasks into the current parity's slots
 // and validates either this stage (default) or the previous one
 // (DelayedChecksum), so the barrier does not drain in-flight stages.
-//
-//amr:graph driver=dataflow phase=checksum seq=3
-//amr:par label=cksum-local axis=blocks
 func (d *dataFlowDriver) checksum() error {
 	s := d.s
 	par := d.parity
@@ -427,9 +404,6 @@ func (d *dataFlowDriver) refine(advance bool) (bool, error) {
 }
 
 // splitOwned taskifies the block-splitting copies.
-//
-//amr:graph driver=dataflow phase=split seq=4
-//amr:par label=split axis=splits
 func (d *dataFlowDriver) splitOwned(refines []mesh.Coord) error {
 	s := d.s
 	children := make([][8]*grid.Data, len(refines))
@@ -455,9 +429,6 @@ func (d *dataFlowDriver) splitOwned(refines []mesh.Coord) error {
 }
 
 // consolidateOwned taskifies the coarsening copies.
-//
-//amr:graph driver=dataflow phase=consolidate seq=5
-//amr:par label=consolidate axis=merges
 func (d *dataFlowDriver) consolidateOwned(parents []mesh.Coord) error {
 	s := d.s
 	newParents := make([]*grid.Data, len(parents))
@@ -509,10 +480,6 @@ type taskMover struct {
 // sendBlock is anchored directly: the exchange protocol reaches it only
 // through the blockMover interface, which static extraction cannot see
 // through.
-//
-//amr:graph driver=dataflow phase=exchange-send seq=6
-//amr:par label=exchange-pack axis=xfers
-//amr:par label=exchange-send axis=xfers
 func (m *taskMover) sendBlock(bc mesh.Coord, blk *grid.Data, to, tag int) {
 	d := m.d
 	s := d.s
@@ -530,9 +497,6 @@ func (m *taskMover) sendBlock(bc mesh.Coord, blk *grid.Data, to, tag int) {
 	}, task.In(key)...)
 }
 
-//amr:graph driver=dataflow phase=exchange-recv seq=7
-//amr:par label=exchange-recv axis=xfers
-//amr:par label=exchange-unpack axis=xfers
 func (m *taskMover) recvBlock(bc mesh.Coord, from, tag int) *grid.Data {
 	d := m.d
 	s := d.s

@@ -44,8 +44,6 @@ type blockMover interface {
 // including bystanders — simulates the same accept/reject sequence and
 // applies identical ownership updates, while the ACK and id control
 // messages still flow for protocol fidelity.
-//
-//amr:graph driver=exchange phase=exchange seq=1
 func (s *state) exchangeBlocks(moves []mesh.Move, mv blockMover) error {
 	if len(moves) == 0 {
 		return nil

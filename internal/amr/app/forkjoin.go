@@ -51,13 +51,6 @@ func (d *forkJoinDriver) parFor(n int, body func(i, w int)) {
 	d.eng.ParFor(n, body)
 }
 
-//amr:graph driver=forkjoin phase=communicate seq=1
-//amr:par label=Irecv axis=msgs serial
-//amr:par label=IsendOwned axis=msgs serial
-//amr:par label=pack axis=segs
-//amr:par label=local-copy axis=locals
-//amr:par label=boundary axis=bfaces
-//amr:par label=unpack axis=segs
 func (d *forkJoinDriver) communicate(g0, g1 int) error {
 	s := d.s
 	gv := g1 - g0
@@ -171,8 +164,6 @@ func (d *forkJoinDriver) communicate(g0, g1 int) error {
 	return nil
 }
 
-//amr:graph driver=forkjoin phase=stencil seq=2
-//amr:par label=stencil axis=blocks
 func (d *forkJoinDriver) stencil(g0, g1 int) error {
 	s := d.s
 	owned := s.owned()
@@ -186,8 +177,6 @@ func (d *forkJoinDriver) stencil(g0, g1 int) error {
 	return nil
 }
 
-//amr:graph driver=forkjoin phase=checksum seq=3
-//amr:par label=cksum-local axis=blocks
 func (d *forkJoinDriver) checksum() error {
 	s := d.s
 	owned := s.owned()
@@ -284,8 +273,6 @@ type forkJoinMover struct {
 	d *forkJoinDriver
 }
 
-//amr:graph driver=forkjoin phase=exchange-send seq=4
-//amr:par label=SendOwned axis=xfers serial
 func (m *forkJoinMover) sendBlock(bc mesh.Coord, blk *grid.Data, to, tag int) {
 	s := m.d.s
 	lease := s.arena.LeaseFloat64(blk.InteriorLen())
@@ -297,8 +284,6 @@ func (m *forkJoinMover) sendBlock(bc mesh.Coord, blk *grid.Data, to, tag int) {
 	s.rec.Record(s.rank, 0, "exchange-send", start, time.Now())
 }
 
-//amr:graph driver=forkjoin phase=exchange-recv seq=5
-//amr:par label=Recv axis=xfers serial
 func (m *forkJoinMover) recvBlock(bc mesh.Coord, from, tag int) *grid.Data {
 	s := m.d.s
 	blk := s.newBlockData(bc, false)

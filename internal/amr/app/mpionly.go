@@ -53,13 +53,6 @@ type mpiOnlyDriver struct {
 	eng *driver.SerialEngine
 }
 
-//amr:graph driver=mpionly phase=communicate seq=1
-//amr:par label=Irecv axis=msgs serial
-//amr:par label=IsendOwned axis=msgs serial
-//amr:par label=pack axis=segs serial
-//amr:par label=local-copy axis=locals serial
-//amr:par label=boundary axis=bfaces serial
-//amr:par label=unpack axis=segs serial
 func (d *mpiOnlyDriver) communicate(g0, g1 int) error {
 	s := d.s
 	gv := g1 - g0
@@ -133,8 +126,6 @@ func (d *mpiOnlyDriver) communicate(g0, g1 int) error {
 	return nil
 }
 
-//amr:graph driver=mpionly phase=stencil seq=2
-//amr:par label=stencil axis=blocks serial
 func (d *mpiOnlyDriver) stencil(g0, g1 int) error {
 	s := d.s
 	for _, bc := range s.owned() {
@@ -145,8 +136,6 @@ func (d *mpiOnlyDriver) stencil(g0, g1 int) error {
 	return nil
 }
 
-//amr:graph driver=mpionly phase=checksum seq=3
-//amr:par label=cksum-local axis=blocks serial
 func (d *mpiOnlyDriver) checksum() error {
 	s := d.s
 	owned := s.owned()
@@ -229,8 +218,6 @@ type syncMover struct {
 	s *state
 }
 
-//amr:graph driver=mpionly phase=exchange-send seq=4
-//amr:par label=SendOwned axis=xfers serial
 func (m *syncMover) sendBlock(bc mesh.Coord, d *grid.Data, to, tag int) {
 	s := m.s
 	lease := s.arena.LeaseFloat64(d.InteriorLen())
@@ -242,8 +229,6 @@ func (m *syncMover) sendBlock(bc mesh.Coord, d *grid.Data, to, tag int) {
 	s.rec.Record(s.rank, 0, "exchange-send", start, time.Now())
 }
 
-//amr:graph driver=mpionly phase=exchange-recv seq=5
-//amr:par label=Recv axis=xfers serial
 func (m *syncMover) recvBlock(bc mesh.Coord, from, tag int) *grid.Data {
 	s := m.s
 	d := s.newBlockData(bc, false)

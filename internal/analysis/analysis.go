@@ -21,11 +21,12 @@
 //     Allgatherv, ...) must be unconditional with respect to the rank;
 //     flags the classic collective-mismatch deadlock.
 //
-// Four whole-program verifiers ride on the same loader: graphlint
-// (task-graph and communication-topology invariants), perflint (the
-// static cost model), conclint (lock order, blocking-under-lock, channel
-// lifecycle) and determlint (nondeterminism sources must not reach
-// checksum, output or protocol sinks).
+// Two whole-program verifiers ride on the same loader: conclint (lock
+// order, blocking-under-lock, channel lifecycle) and determlint
+// (nondeterminism sources must not reach checksum, output or protocol
+// sinks). The escape audit (escape.go, `amrlint -escape`) holds the
+// //amr:hot allocation pins against the compiler. Task graphs are not
+// analysed here: they are recorded from real runs (driver.GraphRecorder).
 //
 // The suite is stdlib-only: a go/parser+go/types loader over the module
 // tree (no go/packages, no external dependencies). Analysis is
@@ -47,7 +48,7 @@ type Finding struct {
 	Pos      token.Position
 	Analyzer string
 	// Rule is the stable machine-readable rule slug within the analyzer
-	// (e.g. "perf-needless-barrier"). Analyzers with a single rule leave
+	// (e.g. "conc-lock-cycle"). Analyzers with a single rule leave
 	// it equal to their name.
 	Rule string
 	// Severity is "error" or "warning"; errors gate the build, warnings
@@ -56,9 +57,9 @@ type Finding struct {
 	Message  string
 }
 
-// ID is the stable finding identifier shared by amrlint, graphlint and
-// perflint JSON output: the analyzer name, qualified by the rule when
-// the analyzer distinguishes several.
+// ID is the stable finding identifier of amrlint's JSON output: the
+// analyzer name, qualified by the rule when the analyzer distinguishes
+// several.
 func (f Finding) ID() string {
 	if f.Rule == "" || f.Rule == f.Analyzer {
 		return f.Analyzer
@@ -79,7 +80,7 @@ type Analyzer struct {
 
 // All returns the full amrlint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{LeaseLint, ReqLint, DepLint, CollectiveLint, GraphLint, PerfLint, ConcLint, DetermLint}
+	return []*Analyzer{LeaseLint, ReqLint, DepLint, CollectiveLint, ConcLint, DetermLint}
 }
 
 // Pass carries one analyzer's view of one package.

@@ -11,9 +11,9 @@ import (
 	"strings"
 )
 
-// This file is perflint's hot-path allocation lint. Functions on the
-// send–receive fast path carry an //amr:hot directive declaring their
-// heap-escape budget:
+// This file is the hot-path allocation audit behind `amrlint -escape`.
+// Functions on the send–receive fast path carry an //amr:hot directive
+// declaring their heap-escape budget:
 //
 //	//amr:hot allocs=N
 //
@@ -28,6 +28,13 @@ import (
 // CheckEscapes reports over-budget sites as errors and under-budget
 // counts as warnings, so an optimization that removes a site fails the
 // gate too until the pin is lowered — the "measure, fix, pin" loop.
+
+// The audit's findings keep the stable id perflint/perf-hot-alloc they
+// carried before the audit moved from amrperf into amrlint.
+const (
+	escapeAnalyzer = "perflint"
+	escapeRule     = "perf-hot-alloc"
+)
 
 // HotFunc is one //amr:hot annotated function: its declared escape
 // budget and the source range the budget covers.
@@ -67,8 +74,8 @@ func CollectHotFuncs(pkgs []*Package) ([]HotFunc, []Finding) {
 				}
 				if budget < 0 {
 					findings = append(findings, Finding{
-						Pos: pos, Analyzer: PerfLint.Name,
-						Rule: "perf-hot-alloc", Severity: "error",
+						Pos: pos, Analyzer: escapeAnalyzer,
+						Rule: escapeRule, Severity: "error",
 						Message: "malformed //amr:hot directive: need allocs=<n>",
 					})
 					continue
@@ -172,19 +179,47 @@ func CheckEscapes(hots []HotFunc, sites []EscapeSite) []Finding {
 		switch {
 		case n > h.Budget:
 			findings = append(findings, Finding{
-				Pos: h.Pos, Analyzer: PerfLint.Name,
-				Rule: "perf-hot-alloc", Severity: "error",
+				Pos: h.Pos, Analyzer: escapeAnalyzer,
+				Rule: escapeRule, Severity: "error",
 				Message: fmt.Sprintf("%s has %d heap-escape sites, over its //amr:hot budget of %d: %s",
 					h.Name, n, h.Budget, strings.Join(msgs, "; ")),
 			})
 		case n < h.Budget:
 			findings = append(findings, Finding{
-				Pos: h.Pos, Analyzer: PerfLint.Name,
-				Rule: "perf-hot-alloc", Severity: "warning",
+				Pos: h.Pos, Analyzer: escapeAnalyzer,
+				Rule: escapeRule, Severity: "warning",
 				Message: fmt.Sprintf("%s has %d heap-escape sites, under its //amr:hot budget of %d: lower the pin",
 					h.Name, n, h.Budget),
 			})
 		}
 	}
 	return dedupeFindings(findings)
+}
+
+// directiveLine finds `//<prefix> rest` in a comment group.
+func directiveLine(doc *ast.CommentGroup, prefix string) (string, bool) {
+	if doc == nil {
+		return "", false
+	}
+	for _, c := range doc.List {
+		text := strings.TrimPrefix(c.Text, "//")
+		if rest, ok := strings.CutPrefix(text, prefix); ok {
+			return strings.TrimSpace(rest), true
+		}
+	}
+	return "", false
+}
+
+// baseTypeName strips pointers and package qualifiers from a type
+// expression, returning the bare type name.
+func baseTypeName(t ast.Expr) string {
+	switch t := ast.Unparen(t).(type) {
+	case *ast.Ident:
+		return t.Name
+	case *ast.SelectorExpr:
+		return t.Sel.Name
+	case *ast.StarExpr:
+		return baseTypeName(t.X)
+	}
+	return ""
 }

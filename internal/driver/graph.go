@@ -28,8 +28,7 @@ type GraphOptions struct {
 	Sanitizer *sanitize.Sanitizer
 	// Observer, when non-nil, additionally receives the task graph's
 	// lifecycle events (teed with the sanitizer's observer). Used by the
-	// width-measurement harness to compare dynamic concurrency against
-	// the static model.
+	// graph recorder (GraphRecorder).
 	Observer task.Observer
 	// ScratchLen sizes the per-worker staging buffers.
 	ScratchLen int

@@ -11,20 +11,24 @@ import (
 // declared per tile and per communication buffer section, the same
 // granularity the paper uses for miniAMR's blocks.
 type (
-	// tileKey is one tile's conserved state; it persists across
-	// timesteps, chaining unpack -> sweep -> pack across stages.
-	//
-	//amr:region state
+	// tileKey is one tile's interior conserved state; it persists across
+	// timesteps, chaining sweep -> pack/local-copy -> sweep across stages.
 	tileKey struct {
 		t int
+	}
+	// ghostKey is one ghost edge of a tile (side 0 = low edge), filled
+	// by a local copy or an unpack and read by the tile's sweep in that
+	// direction. Ghost edges and the interior are disjoint, so fills of
+	// one tile's two edges, and copies reading a tile whose own ghosts
+	// are being filled, need not serialise.
+	ghostKey struct {
+		t, dir, side int
 	}
 	// sectKey is one segment's section of a message buffer. dirKey is
 	// the direction+1, or 0 when buffer sections share one key space
 	// across directions (reproducing the false dependencies that
 	// separate buffers remove). Sections are per-stage: produced,
 	// consumed once, recycled.
-	//
-	//amr:region stage match=dirKey,send,idx
 	sectKey struct {
 		dirKey int
 		peer   int
@@ -33,15 +37,11 @@ type (
 	}
 	// waveKey is a tile's CFL wave-speed contribution slot, written once
 	// per timestep and drained by the reduction's taskwait.
-	//
-	//amr:region stage
 	waveKey struct {
 		t int
 	}
 	// sumKey is a tile's checksum accumulator slot, written once per
 	// checksum stage and drained by the validation's taskwait.
-	//
-	//amr:region stage
 	sumKey struct {
 		t int
 	}
@@ -71,9 +71,6 @@ func (d *dfDriver) dirKey(dir int) int {
 // slots and the global max on the main goroutine. The taskwait
 // transitively drains every tile writer of the previous stage, so the
 // following s.dt update never races a sweep.
-//
-//amr:graph driver=hydro-dataflow phase=timestep seq=1
-//amr:par label=cfl-scan axis=tiles
 func (d *dfDriver) BeginStep(ts int) error {
 	s := d.s
 	waves := make([]float64, len(s.tiles))
@@ -108,13 +105,6 @@ func (d *dfDriver) BeginStep(ts int) error {
 // binding the request, pack tasks per segment, send tasks with
 // multidependencies on the packed sections, local copy tasks, and unpack
 // tasks fed by the receive's buffer sections.
-//
-//amr:graph driver=hydro-dataflow phase=communicate seq=2
-//amr:par label=recv axis=msgs
-//amr:par label=pack axis=segs
-//amr:par label=send axis=msgs
-//amr:par label=local-copy axis=locals
-//amr:par label=unpack axis=msgs
 func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
@@ -227,15 +217,16 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 	// Same-rank copies: edge exchange tasks between neighbouring tiles.
 	for _, lc := range s.locals[dir] {
 		lc := lc
+		ghost := ghostKey{t: lc.dst, dir: dir, side: 1 - lc.srcSide}
 		d.g.Spawn("local-copy", func(t *task.Task) {
 			d.g.NoteRead(t, tileKey{t: lc.src})
-			d.g.NoteWrite(t, tileKey{t: lc.dst})
+			d.g.NoteWrite(t, ghost)
 			s.rec.Span(s.rank, t.Worker(), "local-copy", func() {
 				s.copyLocal(dir, lc)
 			})
 		}, task.Merge(
 			task.In(tileKey{t: lc.src}),
-			task.InOut(tileKey{t: lc.dst}),
+			task.Out(ghost),
 		)...)
 	}
 
@@ -243,37 +234,39 @@ func (d *dfDriver) Communicate(stage, g0, g1 int) error {
 	// once the bound requests complete.
 	for _, uj := range unpacks {
 		uj := uj
+		ghost := ghostKey{t: uj.sg.Tile, dir: dir, side: uj.sg.Side}
 		d.g.Spawn("unpack", func(t *task.Task) {
 			d.g.NoteRead(t, uj.key)
-			d.g.NoteWrite(t, tileKey{t: uj.sg.Tile})
+			d.g.NoteWrite(t, ghost)
 			s.rec.Span(s.rank, t.Worker(), "unpack", func() {
 				s.unpackSeg(dir, uj.sg, uj.sec)
 			})
 		}, task.Merge(
 			task.In(uj.key),
-			task.InOut(tileKey{t: uj.sg.Tile}),
+			task.Out(ghost),
 		)...)
 	}
 	return d.g.X.Err()
 }
 
-// Compute spawns one sweep task per tile, depending in-out on the tile so
-// it naturally follows the ghost fills.
-//
-//amr:graph driver=hydro-dataflow phase=sweep seq=3
-//amr:par label=sweep axis=tiles
+// Compute spawns one sweep task per tile, depending in-out on the tile's
+// interior and in on its two ghost edges of the direction, so it follows
+// the ghost fills.
 func (d *dfDriver) Compute(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
 	for _, t := range s.tiles {
 		t := t
 		u := s.data[t]
+		lo, hi := ghostKey{t: t, dir: dir, side: 0}, ghostKey{t: t, dir: dir, side: 1}
 		d.g.Spawn("sweep", func(tk *task.Task) {
+			d.g.NoteRead(tk, lo)
+			d.g.NoteRead(tk, hi)
 			d.g.NoteWrite(tk, tileKey{t: t})
 			s.rec.Span(s.rank, tk.Worker(), "sweep", func() {
 				s.sweep(dir, u, d.g.Scratch(tk.Worker()))
 			})
-		}, task.InOut(tileKey{t: t})...)
+		}, task.Merge(task.InOut(tileKey{t: t}), task.In(lo, hi))...)
 		s.flops += s.sweepFlops(dir)
 	}
 	return nil
@@ -282,9 +275,6 @@ func (d *dfDriver) Compute(stage, g0, g1 int) error {
 // Checksum spawns per-tile reduction tasks into sum slots, closes them
 // with a taskwait with dependencies, and validates the global reduction
 // on the main goroutine.
-//
-//amr:graph driver=hydro-dataflow phase=checksum seq=4
-//amr:par label=cksum-local axis=tiles
 func (d *dfDriver) Checksum(int) error {
 	s := d.s
 	perTile := make(map[int][]float64, len(s.tiles))

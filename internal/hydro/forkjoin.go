@@ -24,9 +24,6 @@ func (d *fjDriver) parFor(n int, body func(i, w int)) {
 // BeginStep scans the owned tiles for the maximum wave speed in parallel
 // and resolves the CFL timestep on the master. A maximum is
 // order-independent, so the parallel fold stays bit-deterministic.
-//
-//amr:graph driver=hydro-forkjoin phase=timestep seq=1
-//amr:par label=cfl-scan axis=tiles
 func (d *fjDriver) BeginStep(ts int) error {
 	s := d.s
 	waves := make([]float64, len(s.tiles))
@@ -47,13 +44,6 @@ func (d *fjDriver) BeginStep(ts int) error {
 
 // Communicate exchanges the stage direction's ghost edges: the master
 // posts receives and sends, parallel regions pack, copy and unpack.
-//
-//amr:graph driver=hydro-forkjoin phase=communicate seq=2
-//amr:par label=Irecv axis=msgs serial
-//amr:par label=IsendOwned axis=msgs serial
-//amr:par label=pack axis=segs
-//amr:par label=local-copy axis=locals
-//amr:par label=unpack axis=segs
 func (d *fjDriver) Communicate(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
@@ -148,9 +138,6 @@ func (d *fjDriver) Communicate(stage, g0, g1 int) error {
 
 // Compute sweeps the owned tiles in parallel; tiles only touch their own
 // storage, so the loop is race-free.
-//
-//amr:graph driver=hydro-forkjoin phase=sweep seq=3
-//amr:par label=sweep axis=tiles
 func (d *fjDriver) Compute(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
@@ -166,9 +153,6 @@ func (d *fjDriver) Compute(stage, g0, g1 int) error {
 
 // Checksum reduces per-tile sums in parallel and combines them in tile
 // order on the master.
-//
-//amr:graph driver=hydro-forkjoin phase=checksum seq=4
-//amr:par label=cksum-local axis=tiles
 func (d *fjDriver) Checksum(int) error {
 	s := d.s
 	sums := make([][]float64, len(s.tiles))

@@ -18,9 +18,6 @@ type serialDriver struct {
 
 // BeginStep resolves the step's CFL timestep: a serial scan of the owned
 // tiles and a global max reduction.
-//
-//amr:graph driver=hydro-mpionly phase=timestep seq=1
-//amr:par label=cfl-scan axis=tiles serial
 func (d *serialDriver) BeginStep(ts int) error {
 	s := d.s
 	wave := 0.0
@@ -39,13 +36,6 @@ func (d *serialDriver) BeginStep(ts int) error {
 // receives, pack and send every outgoing message with ownership
 // transfer, overlap the same-rank copies, then unpack arrivals in
 // completion order.
-//
-//amr:graph driver=hydro-mpionly phase=communicate seq=2
-//amr:par label=Irecv axis=msgs serial
-//amr:par label=IsendOwned axis=msgs serial
-//amr:par label=pack axis=segs serial
-//amr:par label=local-copy axis=locals serial
-//amr:par label=unpack axis=segs serial
 func (d *serialDriver) Communicate(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
@@ -102,9 +92,6 @@ func (d *serialDriver) Communicate(stage, g0, g1 int) error {
 }
 
 // Compute runs the stage direction's Godunov sweep over the owned tiles.
-//
-//amr:graph driver=hydro-mpionly phase=sweep seq=3
-//amr:par label=sweep axis=tiles serial
 func (d *serialDriver) Compute(stage, g0, g1 int) error {
 	s := d.s
 	dir := stage - 1
@@ -119,9 +106,6 @@ func (d *serialDriver) Compute(stage, g0, g1 int) error {
 
 // Checksum reduces the conserved sums per tile, folds them in tile order
 // and validates the global result.
-//
-//amr:graph driver=hydro-mpionly phase=checksum seq=4
-//amr:par label=cksum-local axis=tiles serial
 func (d *serialDriver) Checksum(int) error {
 	s := d.s
 	perTile := make(map[int][]float64, len(s.tiles))

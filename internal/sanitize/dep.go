@@ -104,6 +104,13 @@ func (ds *DepSanitizer) TaskFinished(id uint64) {
 	}
 }
 
+// TaskWait implements task.Observer. A taskwait with dependencies
+// orders only the waiting goroutine, whose accesses are not shadowed,
+// against the waited tasks; ordering among tasks is unchanged (a task
+// spawned after the wait already follows the waited tasks through the
+// finished-before-spawned link), so there is nothing to record.
+func (ds *DepSanitizer) TaskWait(accs []task.Access) {}
+
 // Quiesced implements task.Observer: everything before the quiescent
 // point is ordered against everything after it, so the epoch's shadow
 // state can be dropped, bounding memory across refinement epochs.

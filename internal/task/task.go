@@ -108,8 +108,8 @@ type Options struct {
 	// the task's label and the virtual core that ran it. Used by tracing.
 	OnTaskEnd func(label string, worker int)
 	// Observer, when set, receives task-graph lifecycle events (spawns,
-	// dependence edges, completions, quiescent points). Used by the
-	// runtime sanitizer; nil costs nothing.
+	// dependence edges, completions, taskwaits, quiescent points). Used by
+	// the runtime sanitizer and the graph recorder; nil costs nothing.
 	Observer Observer
 }
 
@@ -269,6 +269,9 @@ func (rt *Runtime) Wait() {
 func (rt *Runtime) WaitAccess(accs ...Access) {
 	w := &node{rt: rt, waitCh: make(chan struct{})}
 	rt.mu.Lock()
+	if rt.obs != nil {
+		rt.obs.TaskWait(accs)
+	}
 	for _, a := range accs {
 		st, ok := rt.deps[a.Key]
 		if !ok {
